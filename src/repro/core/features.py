@@ -19,6 +19,7 @@ when to use them.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +139,40 @@ def _population_std(arr: np.ndarray, numbers: list[float]) -> float:
     return _SQRT_OF_FRAC(mss.numerator, mss.denominator)
 
 
+def _mean(numbers: list[float]) -> float:
+    """:func:`statistics.fmean`, finite for every finite input.
+
+    ``fmean`` sums with :func:`math.fsum`, which raises ``OverflowError``
+    when the sum leaves the float range (two values near the float maximum)
+    although their mean cannot.  That case is averaged exactly in rationals
+    and rounded once; every other input keeps ``fmean``'s value bit for bit.
+    """
+    try:
+        return statistics.fmean(numbers)
+    except OverflowError:
+        return float(sum(map(Fraction, numbers)) / len(numbers))
+
+
+def _median(arr: np.ndarray, numbers: list[float]) -> float:
+    """The median, finite for every finite input; both branches agree.
+
+    An even count averages the two middle values as ``(a + b) / 2``, which
+    overflows to infinity when both lie near the float maximum although
+    their midpoint cannot.  That case takes the exact rational midpoint,
+    rounded once.
+    """
+    if arr.size >= _NP_MEDIAN_MIN_SIZE:
+        with np.errstate(over="ignore"):
+            median = float(np.median(arr))
+    else:
+        median = float(statistics.median(numbers))
+    if math.isinf(median) and np.isfinite(arr).all():
+        ordered = sorted(numbers)
+        low, high = ordered[len(ordered) // 2 - 1 : len(ordered) // 2 + 1]
+        median = float((Fraction(low) + Fraction(high)) / 2)
+    return median
+
+
 def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
     """Compute the paper's summary statistics sketch over ``values``.
 
@@ -160,10 +195,13 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
       integer mantissa partials (:func:`_population_std`), the dominant
       per-value cost of the sketch;
     * mode and mean stay on :func:`statistics.mode` / :func:`statistics.fmean`
-      (measured faster than their numpy counterparts at column scale), and
+      (measured faster than their numpy counterparts at column scale; the
+      mean falls back to exact rationals where ``fmean``'s sum overflows,
+      see :func:`_mean`), and
       the median switches to ``np.median`` only past the size where its
       call overhead amortizes — both median branches produce the identical
-      float.
+      float, and both stay finite where a midpoint overflows
+      (:func:`_median`).
     """
     usable = [v for v in values if v.strip()]
     if not usable:
@@ -181,13 +219,10 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
         mode = float(statistics.mode(numbers))
     except statistics.StatisticsError:  # pragma: no cover - 3.8+ never raises
         mode = numbers[0]
-    if arr.size >= _NP_MEDIAN_MIN_SIZE:
-        median = float(np.median(arr))
-    else:
-        median = float(statistics.median(numbers))
+    median = _median(arr, numbers)
     return SummaryStatistics(
         std=std,
-        mean=statistics.fmean(numbers),
+        mean=_mean(numbers),
         mode=mode,
         median=median,
         maximum=float(arr.max()),

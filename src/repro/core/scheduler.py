@@ -26,6 +26,7 @@ The request lifecycle::
                  ``generate_batch`` call on a pooled model clone
                           │
                  completions → stats + LRU + store write-through → futures
+                 (one put_many per batch; a failed write fails the batch)
 
 There is deliberately **no background thread**: callers that wait on futures
 drain the queue themselves (leader election via the scheduler lock).  A
@@ -73,7 +74,7 @@ from repro.exceptions import ConfigurationError, SchedulerSaturatedError
 from repro.llm.base import GenerationParams, LanguageModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.core.store import ResponseStore
+    from repro.core.store import ResponseStore, StoreItem
 
 __all__ = [
     "QueryStats",
@@ -555,7 +556,7 @@ class RequestScheduler:
         """Account, cache and resolve (or fail) a generated batch."""
         submitters: set[int] = set()
         coalesced = False
-        writes: list[tuple[_Request, str]] = []
+        writes: list[StoreItem] = []
         with self._lock:
             for request in batch:
                 submitters |= request.submitters
@@ -568,7 +569,7 @@ class RequestScheduler:
                     if self.cache_size > 0:
                         self._cache_put(request.key, response)
                         if self.store is not None:
-                            writes.append((request, response))
+                            writes.append((request.prompt, request.params, response))
                 self.stats.n_batches += 1
                 self.scheduler_stats.record_batch(
                     len(batch), len(submitters), coalesced
@@ -582,10 +583,17 @@ class RequestScheduler:
         # store is append-only first-write-wins, so late or racing writes are
         # idempotent.  Writes land before the futures resolve, keeping the
         # ordering guarantee that a caller observing a completion can count
-        # on it being durable.
-        if self.store is not None:
-            for request, response in writes:
-                self.store.put(request.prompt, request.params, response)
+        # on it being durable.  The whole batch is one put_many call: one
+        # store transaction, not one per completion.
+        write_error: BaseException | None = None
+        if writes and self.store is not None:
+            try:
+                self.store.put_many(writes)
+            except BaseException as exc:
+                # An answer that did not become durable is not reported as
+                # one: every future of the batch fails with the write error,
+                # and the leader or drainer lives on to drain the next batch.
+                write_error = error = exc
         # Futures settle outside the lock: waiters wake straight into
         # result()/submit() without contending on the scheduler lock.
         for index, request in enumerate(batch):
@@ -593,6 +601,10 @@ class RequestScheduler:
                 request.future.set_exception(error)
             else:
                 request.future.set_result(completions[index])  # type: ignore[index]
+        # Interrupts and other non-Exception signals still reach the leader,
+        # once every waiter has been settled.
+        if write_error is not None and not isinstance(write_error, Exception):
+            raise write_error
 
     def _acquire_clone(self) -> LanguageModel:
         with self._lock:

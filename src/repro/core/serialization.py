@@ -9,10 +9,20 @@ every sampled value is numeric.  This module implements all of that.
 Prompt style is treated as a *hyperparameter* — exactly the position the
 paper takes — so the serializer accepts any of the six styles and the
 experiment harness sweeps over them (Table 6).
+
+Serializing one column costs O(context), not O(label set): the instruction
+skeleton (template plus classnames) is the same for every column of a run, so
+its token count comes from a bounded memo shared by every serializer in the
+process (the service builds a fresh annotator per request).  The context is
+counted once against the remaining budget, and ``token_count`` is counted
+once, from the rendered prompt, which is also the post-render overflow check.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -100,6 +110,60 @@ def join_classnames(labels: Sequence[str]) -> str:
     return ", ".join(labels)
 
 
+#: ``(tokenizer, skeleton)`` — the identity of one memoized skeleton count.
+_MemoKey = tuple[SimpleTokenizer, str]
+
+
+class _SkeletonTokenMemo:
+    """Bounded LRU of skeleton token counts, keyed by ``(tokenizer, skeleton)``.
+
+    Bounded in entries and in the bytes of the skeleton strings it keeps,
+    because label sets can come from clients (``/v1/annotate`` accepts any
+    label set up to the body limit).  A skeleton larger than the byte bound
+    is counted but not kept.  Tokenizers are keyed by identity; every
+    serializer built without one shares :data:`_DEFAULT_TOKENIZER`.
+    """
+
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._counts: "OrderedDict[_MemoKey, int]" = OrderedDict()  # guarded-by: _lock
+        self._bytes = 0  # guarded-by: _lock
+
+    def count(self, tokenizer: SimpleTokenizer, skeleton: str) -> int:
+        key = (tokenizer, skeleton)
+        with self._lock:
+            tokens = self._counts.get(key)
+            if tokens is not None:
+                self._counts.move_to_end(key)
+                return tokens
+        tokens = tokenizer.count(skeleton)
+        size = sys.getsizeof(skeleton)
+        if size > self.max_bytes:
+            return tokens
+        with self._lock:
+            if key not in self._counts:
+                self._counts[key] = tokens
+                self._bytes += size
+                while (
+                    len(self._counts) > self.max_entries
+                    or self._bytes > self.max_bytes
+                ):
+                    evicted, _ = self._counts.popitem(last=False)
+                    self._bytes -= sys.getsizeof(evicted[1])
+        return tokens
+
+    def usage(self) -> tuple[int, int]:
+        """``(entries, bytes)`` currently held."""
+        with self._lock:
+            return len(self._counts), self._bytes
+
+
+_DEFAULT_TOKENIZER = SimpleTokenizer()
+_SKELETON_TOKENS = _SkeletonTokenMemo(max_entries=256, max_bytes=4 * 1024 * 1024)
+
+
 def detect_numeric_context(values: Sequence[str]) -> bool:
     """True when every non-empty sampled value is numeric-like.
 
@@ -152,7 +216,7 @@ class PromptSerializer:
         self.context_window = context_window
         self.numeric_labels = list(numeric_labels) if numeric_labels else None
         self.sort_labels = sort_labels
-        self.tokenizer = tokenizer or SimpleTokenizer()
+        self.tokenizer = tokenizer or _DEFAULT_TOKENIZER
 
     def _template(self) -> str:
         if self.style is PromptStyle.FINETUNED:
@@ -186,6 +250,8 @@ class PromptSerializer:
         tokenizer is non-additive across the skeleton/context join.  Raises
         :class:`SerializationError` if no prompt can satisfy that — the label
         set alone is too large, or the tokenizer's counts are inconsistent.
+        The tokenizer's ``count`` must be a pure function of the text: the
+        skeleton's count is memoized across calls.
         """
         labels, restricted = self.effective_label_set(label_set, context_values)
         template = self._template()
@@ -195,7 +261,7 @@ class PromptSerializer:
             skeleton = template.format(context="")
         else:
             skeleton = template.format(context="", classnames=classnames)
-        skeleton_tokens = self.tokenizer.count(skeleton)
+        skeleton_tokens = _SKELETON_TOKENS.count(self.tokenizer, skeleton)
         if skeleton_tokens >= self.context_window:
             raise SerializationError(
                 "label set and instruction alone exceed the context window "
@@ -207,6 +273,7 @@ class PromptSerializer:
             context = self.tokenizer.truncate(context, budget)
             truncated = True
         text = self._render(template, context, classnames)
+        tokens = self.tokenizer.count(text)
         # Hard post-render check: the budget above assumes token counts are
         # additive (count(skeleton + context) == count(skeleton) +
         # count(context)), which a real BPE tokenizer does not guarantee —
@@ -215,20 +282,19 @@ class PromptSerializer:
         # observed overshoot until the final prompt fits; the loop terminates
         # because the budget shrinks by at least one token per pass and an
         # empty context renders the skeleton, which the precheck bounded.
-        while context and self.tokenizer.count(text) > self.context_window:
-            overshoot = self.tokenizer.count(text) - self.context_window
-            budget = max(0, budget - max(overshoot, 1))
+        while context and tokens > self.context_window:
+            budget = max(0, budget - max(tokens - self.context_window, 1))
             shorter = self.tokenizer.truncate(context, budget)
             # A tokenizer whose truncate refuses to shrink further would spin
             # here; once the budget is exhausted, drop the context outright.
             context = "" if (shorter == context and budget == 0) else shorter
             truncated = True
             text = self._render(template, context, classnames)
-        final_tokens = self.tokenizer.count(text)
-        if final_tokens > self.context_window:
+            tokens = self.tokenizer.count(text)
+        if tokens > self.context_window:
             raise SerializationError(
                 "prompt still exceeds the context window after truncation "
-                f"({final_tokens} > {self.context_window} tokens); the "
+                f"({tokens} > {self.context_window} tokens); the "
                 "tokenizer's skeleton count is inconsistent with its "
                 "rendered-prompt count"
             )
@@ -238,7 +304,7 @@ class PromptSerializer:
             label_set=tuple(labels),
             context_values=tuple(context_values),
             truncated=truncated,
-            token_count=final_tokens,
+            token_count=tokens,
             numeric_restricted=restricted,
         )
 

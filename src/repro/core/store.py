@@ -13,7 +13,9 @@ under the LRU:
   recovers from corrupted or truncated entries).  Entries are immutable once
   written — a second ``put`` for an existing key is a no-op — because every
   bundled backend is a pure function of ``(prompt, params)``, so the first
-  recorded answer is *the* answer.
+  recorded answer is *the* answer.  :meth:`ResponseStore.put_many` is each
+  backend's one write path: one SQLite transaction, or one JSONL append and
+  flush, per call.
 
 * :class:`RunManifest` — an append-only JSONL journal of per-column
   predictions for one experiment run, keyed by global column index.  The
@@ -25,13 +27,16 @@ under the LRU:
 
 The cache hierarchy is therefore LRU → store → model: the engine consults its
 LRU first, then the store (promoting hits into the LRU), and only then the
-model — writing fresh completions through to both tiers.  Both tiers assume
+model — writing fresh completions through to both tiers.  The scheduler
+writes each model batch through with one ``put_many`` call, and the write
+lands before any of the batch's futures resolve.  Both tiers assume
 response purity; disable them (``query_cache_size=0`` / ``store="none"``)
 when wrapping a stateful backend whose answers depend on call order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
@@ -42,7 +47,7 @@ from abc import ABC, abstractmethod
 from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.plan import AnnotationResult
 from repro.exceptions import ConfigurationError, StoreError
@@ -58,11 +63,18 @@ RUNS_DIRNAME = "runs"
 MANIFEST_FILENAME = "manifest.jsonl"
 
 
+#: One store entry: ``(prompt, params, response)``.
+StoreItem = tuple[str, GenerationParams, str]
+
+
+@functools.lru_cache(maxsize=1024)
 def params_key(params: GenerationParams) -> str:
     """Canonical JSON encoding of generation parameters for store keys.
 
     Key order is fixed and separators are compact so the same parameters
     always encode to the same string across processes and Python versions.
+    Memoized: a run uses a handful of distinct parameter sets, and every
+    store read and write needs the key.
     """
     return json.dumps(asdict(params), sort_keys=True, separators=(",", ":"))
 
@@ -78,9 +90,18 @@ class ResponseStore(ABC):
     def get(self, prompt: str, params: GenerationParams) -> str | None:
         """The stored response for ``(prompt, params)``, or ``None``."""
 
-    @abstractmethod
     def put(self, prompt: str, params: GenerationParams, response: str) -> None:
         """Persist a response.  A key already present is left untouched."""
+        self.put_many([(prompt, params, response)])
+
+    @abstractmethod
+    def put_many(self, items: Iterable[StoreItem]) -> None:
+        """Persist ``(prompt, params, response)`` items in one write.
+
+        First write wins, within ``items`` as across calls: a key already
+        present, or seen earlier in ``items``, is left untouched.  The write
+        is all or nothing on the SQLite backend (one transaction).
+        """
 
     @abstractmethod
     def __len__(self) -> int:
@@ -117,7 +138,9 @@ class SQLiteResponseStore(ResponseStore):
 
     One table, primary-keyed on ``(prompt, params)``; writes use ``INSERT OR
     IGNORE`` so the store is append-only at the row level and concurrent
-    writers racing on the same key keep the first-committed answer.  A single
+    writers racing on the same key keep the first-committed answer.  Each
+    ``put_many`` is one ``BEGIN IMMEDIATE … COMMIT`` transaction around an
+    ``executemany``, so a batch lands whole or not at all.  A single
     connection is shared across threads behind a lock (the workload is
     read-mostly and answers are small, so lock contention is negligible next
     to model-call latency).
@@ -174,18 +197,35 @@ class SQLiteResponseStore(ResponseStore):
                 raise StoreError(f"response store read failed: {exc}") from exc
         return row[0] if row is not None else None
 
-    def put(self, prompt: str, params: GenerationParams, response: str) -> None:
+    def put_many(self, items: Iterable[StoreItem]) -> None:
+        # Allowlisted wall-clock read: created_at is provenance metadata for
+        # humans inspecting the store; nothing in the pipeline ever reads it
+        # back, so it cannot break replay.
+        created_at = time.time()  # repro-lint: disable=det-wallclock
+        rows = [
+            (prompt, params_key(params), response, created_at)
+            for prompt, params, response in items
+        ]
+        if not rows:
+            return
         with self._lock:
             try:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO responses"
-                    " (prompt, params, response, created_at) VALUES (?, ?, ?, ?)",
-                    # Allowlisted wall-clock read: created_at is provenance
-                    # metadata for humans inspecting the store; nothing in the
-                    # pipeline ever reads it back, so it cannot break replay.
-                    (prompt, params_key(params), response, time.time()),  # repro-lint: disable=det-wallclock
-                )
-            except sqlite3.DatabaseError as exc:
+                # IMMEDIATE takes the write lock up front (waiting out other
+                # processes' writers for the busy timeout), so the batch
+                # never fails halfway on a lock upgrade.
+                self._conn.execute("BEGIN IMMEDIATE")
+                try:
+                    self._conn.executemany(
+                        "INSERT OR IGNORE INTO responses"
+                        " (prompt, params, response, created_at)"
+                        " VALUES (?, ?, ?, ?)",
+                        rows,
+                    )
+                    self._conn.execute("COMMIT")
+                except BaseException:
+                    self._conn.execute("ROLLBACK")
+                    raise
+            except sqlite3.Error as exc:
                 raise StoreError(f"response store write failed: {exc}") from exc
 
     def __len__(self) -> int:
@@ -203,8 +243,8 @@ class SQLiteResponseStore(ResponseStore):
 class JSONLResponseStore(ResponseStore):
     """JSONL-backed response store (the dependency-free fallback).
 
-    One JSON object per line (``{"prompt", "params", "response"}``), appended
-    and flushed per write.  The whole file is loaded into a dict at open;
+    One JSON object per line (``{"prompt", "params", "response"}``); each
+    ``put_many`` appends its new lines in one write and one flush.  The whole file is loaded into a dict at open;
     malformed lines — a line truncated by a crash mid-append, or foreign
     garbage — are skipped and counted in :attr:`corrupt_entries_skipped`
     rather than poisoning the open, so a store survives its writer dying at
@@ -241,20 +281,30 @@ class JSONLResponseStore(ResponseStore):
         with self._lock:
             return self._entries.get((prompt, params_key(params)))
 
-    def put(self, prompt: str, params: GenerationParams, response: str) -> None:
-        key = (prompt, params_key(params))
+    def put_many(self, items: Iterable[StoreItem]) -> None:
+        keyed = [
+            ((prompt, params_key(params)), response)
+            for prompt, params, response in items
+        ]
         with self._lock:
-            if key in self._entries:
+            fresh: dict[tuple[str, str], str] = {}
+            for key, response in keyed:
+                if key not in self._entries:
+                    fresh.setdefault(key, response)
+            if not fresh:
                 return
             self._handle.write(
-                json.dumps(
-                    {"prompt": prompt, "params": key[1], "response": response},
-                    separators=(",", ":"),
+                "".join(
+                    json.dumps(
+                        {"prompt": key[0], "params": key[1], "response": response},
+                        separators=(",", ":"),
+                    )
+                    + "\n"
+                    for key, response in fresh.items()
                 )
-                + "\n"
             )
             self._handle.flush()
-            self._entries[key] = response
+            self._entries.update(fresh)
 
     def __len__(self) -> int:
         with self._lock:

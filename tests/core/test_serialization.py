@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.core import serialization
 from repro.core.serialization import (
+    _SKELETON_TOKENS,
     PromptSerializer,
     PromptStyle,
+    _SkeletonTokenMemo,
     detect_numeric_context,
     join_classnames,
     join_context,
@@ -189,3 +195,95 @@ class TestPostRenderOverflowGuard:
             )
             prompt = serializer.serialize(context, LABELS)
             assert tokenizer.count(prompt.text) <= 120, style
+
+
+class TestSkeletonTokenMemo:
+    def test_hits_return_the_tokenizers_count(self):
+        memo = _SkeletonTokenMemo(max_entries=4, max_bytes=1 << 20)
+        tokenizer = SimpleTokenizer()
+        skeleton = "Pick the column's class. Column: . Classes: a, b. Output: "
+        assert memo.count(tokenizer, skeleton) == tokenizer.count(skeleton)
+        assert memo.count(tokenizer, skeleton) == tokenizer.count(skeleton)
+        assert memo.usage()[0] == 1
+
+    def test_tokenizers_are_keyed_apart(self):
+        memo = _SkeletonTokenMemo(max_entries=4, max_bytes=1 << 20)
+        text = "Column: x. Classes: a."
+        plain = SimpleTokenizer().count(text)
+        assert memo.count(SimpleTokenizer(), text) == plain
+        assert memo.count(SuperAdditiveTokenizer(join_penalty=5), text) == plain + 5
+
+    def test_evicts_least_recently_used_within_entry_bound(self):
+        memo = _SkeletonTokenMemo(max_entries=2, max_bytes=1 << 20)
+        tokenizer = SimpleTokenizer()
+        for skeleton in ("one", "two", "one", "three"):
+            memo.count(tokenizer, skeleton)
+        assert memo.usage()[0] == 2
+        assert set(key[1] for key in memo._counts) == {"one", "three"}
+
+    def test_memo_stays_bounded_under_many_large_label_sets(self, monkeypatch):
+        # /v1/annotate accepts client label sets up to the body limit, so
+        # an unbounded memo would let clients grow server memory at will.
+        # Serializers share one memo; a small one here keeps the test fast.
+        memo = _SkeletonTokenMemo(max_entries=16, max_bytes=256 * 1024)
+        monkeypatch.setattr(serialization, "_SKELETON_TOKENS", memo)
+        serializer = PromptSerializer(style=PromptStyle.S, context_window=10**7)
+        for index in range(40):
+            labels = [f"label{index}x{j:04d}" for j in range(2000)]
+            prompt = serializer.serialize(CONTEXT, labels)
+            assert prompt.token_count == SimpleTokenizer().count(prompt.text)
+            entries, size = memo.usage()
+            assert entries <= memo.max_entries
+            assert size <= memo.max_bytes
+        assert memo.usage()[0] < memo.max_entries  # the byte bound bit first
+        # A skeleton larger than the whole byte bound is counted, not kept.
+        huge = [f"h{j:07d}" for j in range(memo.max_bytes // 8)]
+        before = memo.usage()
+        prompt = serializer.serialize(CONTEXT, huge)
+        assert prompt.token_count == SimpleTokenizer().count(prompt.text)
+        assert memo.usage() == before
+
+    def test_shared_memo_is_bounded(self):
+        assert _SKELETON_TOKENS.max_entries <= 1024
+        assert _SKELETON_TOKENS.max_bytes <= 16 * 1024 * 1024
+        entries, size = _SKELETON_TOKENS.usage()
+        assert entries <= _SKELETON_TOKENS.max_entries
+        assert size <= _SKELETON_TOKENS.max_bytes
+
+    def test_concurrent_serializers_keep_the_memo_consistent(self, monkeypatch):
+        # Service handler threads share the memo: more threads than cores and
+        # a tiny switch interval shake out lost updates to its byte count.
+        memo = _SkeletonTokenMemo(max_entries=8, max_bytes=64 * 1024)
+        monkeypatch.setattr(serialization, "_SKELETON_TOKENS", memo)
+        serializer = PromptSerializer(style=PromptStyle.S, context_window=10**6)
+        label_sets = [[f"l{i}x{j:03d}" for j in range(300)] for i in range(24)]
+        expected = [serializer.serialize(CONTEXT, ls).token_count for ls in label_sets]
+        errors: list[BaseException] = []
+
+        def work(offset: int) -> None:
+            try:
+                for step in range(60):
+                    index = (offset + step) % len(label_sets)
+                    prompt = serializer.serialize(CONTEXT, label_sets[index])
+                    assert prompt.token_count == expected[index]
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,), daemon=True)
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        entries, size = memo.usage()
+        assert entries <= memo.max_entries and size <= memo.max_bytes
+        assert size == sum(sys.getsizeof(key[1]) for key in memo._counts)

@@ -18,7 +18,7 @@ from repro.core.store import (
     open_store,
     params_key,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.llm.base import GenerationParams
 
 STORE_KINDS = ["sqlite", "jsonl"]
@@ -130,6 +130,61 @@ class TestResponseStoreContract:
             store.put(prompt, GenerationParams(), "naïve\nanswer")
         with _open(kind, tmp_path) as store:
             assert store.get(prompt, GenerationParams()) == "naïve\nanswer"
+
+
+@pytest.mark.parametrize("kind", STORE_KINDS)
+class TestPutManyParity:
+    """``put_many`` (each backend's one write path) behaves alike on both."""
+
+    def test_duplicate_keys_inside_one_batch_keep_the_first(self, kind, tmp_path):
+        params = GenerationParams()
+        with _open(kind, tmp_path) as store:
+            store.put_many(
+                [("p", params, "first"), ("q", params, "other"), ("p", params, "second")]
+            )
+            assert store.get("p", params) == "first"
+            assert len(store) == 2
+        with _open(kind, tmp_path) as store:
+            assert store.get("p", params) == "first"
+            assert store.get("q", params) == "other"
+            assert len(store) == 2
+
+    def test_first_write_wins_across_batches(self, kind, tmp_path):
+        params = GenerationParams()
+        with _open(kind, tmp_path) as store:
+            store.put_many([("p", params, "first"), ("q", params, "q1")])
+            store.put_many([("p", params, "second"), ("r", params, "r1")])
+            store.put("q", params, "q2")
+            assert [store.get(k, params) for k in "pqr"] == ["first", "q1", "r1"]
+            assert len(store) == 3
+        with _open(kind, tmp_path) as store:
+            assert [store.get(k, params) for k in "pqr"] == ["first", "q1", "r1"]
+
+    def test_empty_batch_is_a_no_op(self, kind, tmp_path):
+        with _open(kind, tmp_path) as store:
+            store.put_many([])
+            assert len(store) == 0
+
+
+class TestSQLitePutManyAtomicity:
+    def test_failed_transaction_rolls_back_with_no_partial_rows(self, tmp_path):
+        params = GenerationParams()
+        with _open("sqlite", tmp_path) as store:
+            store.put("kept", params, "before")
+            # The third row cannot be bound, so executemany fails after the
+            # first two rows were inserted inside the transaction.
+            with pytest.raises(StoreError, match="write failed"):
+                store.put_many(
+                    [("a", params, "x"), ("b", params, "y"), ("c", params, object())]
+                )
+            assert store.get("a", params) is None
+            assert store.get("b", params) is None
+            assert len(store) == 1
+            # The connection is out of the failed transaction and writable.
+            store.put_many([("a", params, "x")])
+            assert store.get("a", params) == "x"
+        with _open("sqlite", tmp_path) as store:
+            assert len(store) == 2
 
 
 class TestJSONLCorruptionRecovery:

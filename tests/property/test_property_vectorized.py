@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import SummaryStatistics, summary_statistics
@@ -69,6 +70,11 @@ numeric_lists = st.lists(numeric_strings, min_size=1, max_size=60)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
+#: Two finite values whose float sum overflows: ``statistics.fmean`` raises
+#: ``OverflowError`` on them and ``(a + b) / 2`` is infinite, yet their mean
+#: and median are finite.
+_OVERFLOWING_SUM = ["8.988465674311579e+307", "8.98846567431158e+307"]
+
 
 def _scalar_summary_statistics(values) -> SummaryStatistics | None:
     """The historical per-value sketch the vectorized path replaced."""
@@ -86,11 +92,21 @@ def _scalar_summary_statistics(values) -> SummaryStatistics | None:
         mode = float(statistics.mode(numbers))
     except statistics.StatisticsError:  # pragma: no cover - 3.8+ never raises
         mode = numbers[0]
+    try:
+        mean = statistics.fmean(numbers)
+    except OverflowError:
+        # The float sum left the range; the mean of finite values cannot:
+        # it is the exact rational mean, rounded once.
+        mean = float(statistics.mean(map(Fraction, numbers)))
+    median = float(statistics.median(numbers))
+    if math.isinf(median) and all(math.isfinite(x) for x in numbers):
+        # Likewise the midpoint of two middle values near the float maximum.
+        median = float(statistics.median(map(Fraction, numbers)))
     return SummaryStatistics(
         std=std,
-        mean=statistics.fmean(numbers),
+        mean=mean,
         mode=mode,
-        median=float(statistics.median(numbers)),
+        median=median,
         maximum=max(numbers),
         minimum=min(numbers),
         over_lengths=over_lengths,
@@ -131,6 +147,7 @@ class TestAllNumericGate:
 
 class TestSummaryStatisticsExactness:
     @given(value_lists)
+    @example(_OVERFLOWING_SUM)
     @settings(max_examples=300)
     def test_raw_floats_match_scalar_reference(self, values):
         fast = summary_statistics(values)
@@ -147,6 +164,7 @@ class TestSummaryStatisticsExactness:
             )
 
     @given(value_lists)
+    @example(_OVERFLOWING_SUM)
     @settings(max_examples=150)
     def test_prompt_strings_match_scalar_reference(self, values):
         fast = summary_statistics(values)
