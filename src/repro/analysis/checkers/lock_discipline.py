@@ -67,7 +67,7 @@ _CONDITION_FACTORIES = {"Condition"}
 #: Attribute call names that reach the model (never valid under a lock).
 _MODEL_CALLS = {"generate", "generate_batch"}
 #: Store-tier call names (checked when the receiver mentions a store).
-_STORE_CALLS = {"get", "put"}
+_STORE_CALLS = {"get", "put", "put_many"}
 
 
 @dataclass

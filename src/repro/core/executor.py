@@ -27,12 +27,19 @@ submits to the scheduler before awaiting any of them.
   back for the parent to absorb, so accounting stays whole-run truthful.
 
 All four produce identical labels for the pure bundled backends; they differ
-only in wall-clock and in how many times the model is consulted.  In the
-thread-based policies stage 4 (label remapping, with optional resample
-requeries) always runs on the main thread, in plan order, through the main
-engine; in the process policy each worker remaps its own contiguous chunk in
-plan order with a deterministic engine copy, which preserves the same
-bit-identical labels.
+only in wall-clock and in how many times the model is consulted.  Stage 4
+(label remapping) runs through one function, :func:`_remap_plans`, which
+hands the remapper a whole set of plans: the sequential policy remaps one
+plan at a time (query and remap still interleave per column), the batched
+policy one ``batch_size`` chunk at a time, the concurrent policy all pending
+plans at once, and each process worker its own contiguous chunk (through
+the batched policy) with a deterministic engine copy.  The resample
+strategies retry the whole set round by round — one
+:meth:`QueryEngine.requery_batch` per attempt instead of one model round
+trip per column — and every column still sees the same response sequence,
+so labels, ``attempts`` and query counts match the per-column loop.  In
+the thread-based policies remapping runs on the calling thread, through the
+main engine.
 """
 
 from __future__ import annotations
@@ -100,31 +107,51 @@ def execute_plan(
     assert prompt is not None  # ColumnPlan invariant
     with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(STAGE_QUERY):
         response = engine.query(prompt.text)
-    return _remap_response(plan, response, engine, remapper, stats)
+    return _remap_plans([plan], [response], engine, remapper, stats)[0]
 
 
-def _remap_response(
-    plan: ColumnPlan,
-    response: str,
+def _remap_plans(
+    plans: Sequence[ColumnPlan],
+    responses: Sequence[str],
     engine: QueryEngine,
     remapper: Remapper,
     stats: PipelineStats,
-) -> AnnotationResult:
-    """Run stage 4 (label remapping, with resample requeries) for one plan."""
-    prompt = plan.prompt
-    assert prompt is not None
-    with _attributed_hits(engine, stats, STAGE_REMAP), stats.timed(STAGE_REMAP):
-        requery = lambda attempt: engine.requery(prompt.text, attempt)
-        remap = remapper.remap(response, list(prompt.label_set), requery)
-    return AnnotationResult(
-        label=remap.label,
-        raw_response=response,
-        prompt=prompt,
-        remapped=remap.remapped,
-        rule_applied=False,
-        strategy=remapper.name,
-        sampled_values=plan.sampled_values,
-    )
+) -> list[AnnotationResult]:
+    """Run stage 4 (label remapping) for pending plans, one result per plan.
+
+    The remapper sees the whole set at once, so a resample strategy retries
+    every unresolved plan of a round in one :meth:`QueryEngine.requery_batch`.
+    """
+    if not plans:
+        return []
+    prompts = [plan.prompt for plan in plans]
+    texts = [prompt.text for prompt in prompts]  # type: ignore[union-attr]
+
+    def requery_many(items: Sequence[int], attempt: int) -> list[str]:
+        return engine.requery_batch([texts[item] for item in items], attempt)
+
+    with _attributed_hits(engine, stats, STAGE_REMAP), stats.timed(
+        STAGE_REMAP, calls=len(plans)
+    ):
+        remaps = remapper.remap_many(
+            responses,
+            [prompt.label_set for prompt in prompts],  # type: ignore[union-attr]
+            requery_many,
+        )
+    return [
+        AnnotationResult(
+            label=remap.label,
+            raw_response=response,
+            prompt=prompt,
+            remapped=remap.remapped,
+            rule_applied=False,
+            strategy=remapper.name,
+            sampled_values=plan.sampled_values,
+        )
+        for plan, prompt, response, remap in zip(
+            plans, prompts, responses, remaps, strict=True
+        )
+    ]
 
 
 def _assemble(
@@ -188,8 +215,9 @@ class BatchedExecutor(Executor):
     Pending prompts are issued through :meth:`QueryEngine.query_batch` in
     chunks of ``batch_size`` (all at once when ``None``); the scheduler
     resolves cache/store hits at submission, coalesces duplicates in flight,
-    and drains each chunk as one ``generate_batch`` call.  Remapping then
-    runs per plan, in plan order.
+    and drains each chunk as one ``generate_batch`` call.  Each chunk is then
+    remapped as a set, so resample retries also go out at most ``batch_size``
+    prompts per model batch.
     """
 
     batch_size: int | None = None
@@ -207,22 +235,19 @@ class BatchedExecutor(Executor):
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
         produced, pending = _split_pending(plans)
-        prompts = [plan.prompt.text for plan in pending]  # type: ignore[union-attr]
-        chunk = self.batch_size if self.batch_size is not None else len(prompts)
-        responses: list[str] = []
-        for start in range(0, len(prompts), max(chunk, 1)):
-            chunk_prompts = prompts[start:start + chunk]
+        chunk = max(self.batch_size or len(pending), 1)
+        for start in range(0, len(pending), chunk):
+            chunk_plans = pending[start:start + chunk]
+            prompts = [plan.prompt.text for plan in chunk_plans]  # type: ignore[union-attr]
             with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(
-                STAGE_QUERY, calls=len(chunk_prompts)
+                STAGE_QUERY, calls=len(prompts)
             ):
-                responses.extend(engine.query_batch(chunk_prompts))
-
-        # strict=: a miscounting backend must fail loudly, not silently drop
-        # the tail of the column set.
-        for plan, response in zip(pending, responses, strict=True):
-            produced[plan.position] = _remap_response(
-                plan, response, engine, remapper, stats
-            )
+                responses = engine.query_batch(prompts)
+            # _remap_plans zips strictly: a miscounting backend must fail
+            # loudly, not silently drop the tail of the column set.
+            remapped = _remap_plans(chunk_plans, responses, engine, remapper, stats)
+            for plan, result in zip(chunk_plans, remapped):
+                produced[plan.position] = result
         return _assemble(plans, produced)
 
 
@@ -236,7 +261,8 @@ class ConcurrentExecutor(Executor):
     :meth:`LanguageModel.clone_for_worker` model clones while dedup, caching
     and stats stay centralized.  Responses reassemble positionally, so the
     labels are identical to the batched path for the pure bundled backends.
-    Remapping (stage 4) runs on the main thread in plan order.
+    Remapping (stage 4) then runs on the calling thread over every pending
+    plan at once.
 
     ``chunk_size`` bounds each thread's drain batches; by default the
     prompts are split evenly across ``workers``.
@@ -272,10 +298,9 @@ class ConcurrentExecutor(Executor):
                     prompts, workers=self.workers, chunk_size=self.chunk_size
                 )
 
-        for plan, response in zip(pending, responses, strict=True):
-            produced[plan.position] = _remap_response(
-                plan, response, engine, remapper, stats
-            )
+        remapped = _remap_plans(pending, responses, engine, remapper, stats)
+        for plan, result in zip(pending, remapped):
+            produced[plan.position] = result
         return _assemble(plans, produced)
 
 

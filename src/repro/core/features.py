@@ -177,8 +177,9 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
     """Compute the paper's summary statistics sketch over ``values``.
 
     Returns None if there are no non-empty values to summarise.  When any
-    sampled value is non-numeric the statistics are computed over string
-    lengths instead of the values themselves (and ``over_lengths`` is set).
+    sampled value is non-numeric, or parses to a number beyond float64's
+    range, the statistics are computed over string lengths instead of the
+    values themselves (and ``over_lengths`` is set).
 
     This runs over *every* value of the column (not just the context
     sample), so it is sized by table length, and its hot loops are
@@ -206,13 +207,17 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
     usable = [v for v in values if v.strip()]
     if not usable:
         return None
+    arr: np.ndarray | None = None
     if all_numeric_strings(usable):
         stripped = [v.replace(",", "") for v in usable]
-        arr = np.array(stripped, dtype=np.float64)
-        over_lengths = False
-    else:
+        parsed = np.array(stripped, dtype=np.float64)
+        # A value beyond float64's range ("1e999") parses to ±inf, which has
+        # no numeric sketch: such a column is sketched over lengths instead.
+        if np.isfinite(parsed).all():
+            arr = parsed
+    over_lengths = arr is None
+    if arr is None:
         arr = np.fromiter(map(len, usable), dtype=np.float64, count=len(usable))
-        over_lengths = True
     numbers = arr.tolist()
     std = _population_std(arr, numbers) if len(numbers) > 1 else 0.0
     try:

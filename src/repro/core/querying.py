@@ -2,7 +2,8 @@
 
 The querying stage submits serialized prompts to the chosen language model and
 returns the raw responses, while tracking how many model calls were issued
-(remap-resample issues extra ones) and which generation parameters were used.
+(remap-resample issues extra ones, one batch per resample round through
+:meth:`QueryEngine.requery_batch`) and which generation parameters were used.
 Keeping it separate from the pipeline makes the Section 5.4.3 model-querying
 ablation a one-line model swap.
 
@@ -215,11 +216,17 @@ class QueryEngine:
             keys, submitters=n_workers, batch_limit=batch_limit
         )
 
-    def requery(self, prompt: str, attempt: int) -> str:
-        """Re-query with permuted hyperparameters (remap-resample, Algorithm 3).
+    def requery_batch(self, prompts: Sequence[str], attempt: int) -> list[str]:
+        """Re-query a batch with permuted hyperparameters (Algorithm 3).
 
-        Routed through the scheduler like a first attempt, so concurrent
-        retries of the same ``(prompt, attempt)`` dedup onto one model call
-        and the completion is cached and persisted like any other.
+        One resample round: every prompt is retried with
+        ``params.permuted(attempt)`` through :meth:`query_batch`, so the round
+        costs one model batch, duplicates (and concurrent retries of the same
+        ``(prompt, attempt)``) coalesce onto one call, and completions are
+        cached and persisted like any other.
         """
-        return self.query(prompt, self.params.permuted(attempt))
+        return self.query_batch(prompts, self.params.permuted(attempt))
+
+    def requery(self, prompt: str, attempt: int) -> str:
+        """:meth:`requery_batch` for one prompt."""
+        return self.requery_batch([prompt], attempt)[0]

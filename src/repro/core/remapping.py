@@ -16,7 +16,16 @@ base four; **contains+resample** is their best-performing combination):
 
 All remappers share the :class:`Remapper` interface: they receive the raw
 response, the label set and (optionally) a ``requery`` callback for resampling,
-and return a :class:`RemapResult`.
+and return a :class:`RemapResult`.  Executors remap a whole batch of responses
+through :meth:`Remapper.remap_many`, whose default loops over ``remap``; the
+resample strategies override it to run Algorithm 3 *set-at-a-time*: round
+``a`` re-queries every still-unresolved column of the batch in one
+``requery_many`` call (one model batch instead of one round trip per column),
+and the single-column ``remap`` is ``remap_many`` over one item.  Per-column
+semantics are unchanged — each column still sees its response, then its
+attempt-1, attempt-2, … retries, and stops at the first in-set answer or
+after ``k`` attempts — so labels and ``attempts`` match the column-at-a-time
+loop for any model that is a pure function of ``(prompt, params)``.
 
 A note on ``RemapResult.remapped`` semantics (relevant when reading Table 7's
 remap counts): "exact match" everywhere means *equality under*
@@ -43,8 +52,8 @@ memoized view of the per-label normalization.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -53,7 +62,11 @@ from repro.llm.embeddings import DEFAULT_EMBEDDER, HashingEmbedder
 #: The label returned when no remapping strategy can recover an answer.
 NULL_LABEL = "__unmapped__"
 
+#: Single-column requery: ``attempt`` → the retried response.
 RequeryFn = Callable[[int], str]
+#: Batch requery: ``(items, attempt)`` → one retried response per item, where
+#: ``items`` index the responses passed to :meth:`Remapper.remap_many`.
+RequeryManyFn = Callable[[Sequence[int], int], Sequence[str]]
 
 
 def normalize(text: str) -> str:
@@ -151,6 +164,28 @@ def exact_match(response: str, label_set: Sequence[str]) -> str | None:
     return _matcher(label_set).exact.get(normalize(response))
 
 
+def _requery_one(requery_many: RequeryManyFn, item: int, attempt: int) -> str:
+    """One item's retry through a batch requery callback."""
+    return requery_many([item], attempt)[0]
+
+
+def _remap_one(
+    remapper: "Remapper",
+    response: str,
+    label_set: Sequence[str],
+    requery: RequeryFn | None,
+) -> RemapResult:
+    """``remapper.remap_many`` over the single item ``response``."""
+    if requery is None:
+        return remapper.remap_many([response], [label_set])[0]
+    retry = requery
+
+    def requery_many(items: Sequence[int], attempt: int) -> list[str]:
+        return [retry(attempt)]
+
+    return remapper.remap_many([response], [label_set], requery_many)[0]
+
+
 @dataclass(frozen=True)
 class RemapResult:
     """Outcome of a remapping attempt."""
@@ -180,6 +215,28 @@ class Remapper(ABC):
         requery: RequeryFn | None = None,
     ) -> RemapResult:
         """Map ``response`` into ``label_set`` (or to :data:`NULL_LABEL`)."""
+
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        """Remap a batch of responses, one result per response, in order.
+
+        The default maps each item through :meth:`remap`, so a strategy that
+        implements only ``remap`` works under every executor; its requeries
+        then go to the model one column at a time.
+        """
+        results: list[RemapResult] = []
+        for item, (response, label_set) in enumerate(
+            zip(responses, label_sets, strict=True)
+        ):
+            requery: RequeryFn | None = None
+            if requery_many is not None:
+                requery = partial(_requery_one, requery_many, item)
+            results.append(self.remap(response, label_set, requery))
+        return results
 
     def _passthrough(self, response: str, label_set: Sequence[str]) -> RemapResult | None:
         matched = exact_match(response, label_set)
@@ -291,39 +348,68 @@ class ResampleRemapper(Remapper):
         label_set: Sequence[str],
         requery: RequeryFn | None = None,
     ) -> RemapResult:
-        accepted = self._accept(response, label_set)
-        if accepted is not None:
-            return RemapResult(
-                label=accepted,
-                original_response=response,
-                remapped=accepted != response,
-                strategy=self.name,
-                attempts=0,
-            )
-        if requery is None:
-            return RemapResult(
-                label=NULL_LABEL, original_response=response,
-                remapped=False, strategy=self.name,
-            )
-        last = response
-        for attempt in range(1, self.k + 1):
-            last = requery(attempt)
-            accepted = self._accept(last, label_set)
+        return _remap_one(self, response, label_set, requery)
+
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        """Algorithm 3 over a batch: one ``requery_many`` call per round.
+
+        Round ``a`` retries every item still without an in-set answer at
+        attempt ``a``; rounds stop when none is left or after ``k``.
+        """
+        results: dict[int, RemapResult] = {}
+        unresolved: list[int] = []
+        for item, (response, label_set) in enumerate(
+            zip(responses, label_sets, strict=True)
+        ):
+            accepted = self._accept(response, label_set)
             if accepted is not None:
-                return RemapResult(
+                results[item] = RemapResult(
                     label=accepted,
                     original_response=response,
+                    remapped=accepted != response,
+                    strategy=self.name,
+                    attempts=0,
+                )
+            elif requery_many is None:
+                results[item] = RemapResult(
+                    label=NULL_LABEL, original_response=response,
+                    remapped=False, strategy=self.name,
+                )
+            else:
+                unresolved.append(item)
+        for attempt in range(1, self.k + 1):
+            if not unresolved:
+                break
+            assert requery_many is not None  # only then can items be unresolved
+            retried = requery_many(unresolved, attempt)
+            still: list[int] = []
+            for item, last in zip(unresolved, retried, strict=True):
+                accepted = self._accept(last, label_sets[item])
+                if accepted is None:
+                    still.append(item)
+                    continue
+                results[item] = RemapResult(
+                    label=accepted,
+                    original_response=responses[item],
                     remapped=True,
                     strategy=self.name,
                     attempts=attempt,
                 )
-        return RemapResult(
-            label=NULL_LABEL,
-            original_response=response,
-            remapped=False,
-            strategy=self.name,
-            attempts=self.k,
-        )
+            unresolved = still
+        for item in unresolved:
+            results[item] = RemapResult(
+                label=NULL_LABEL,
+                original_response=responses[item],
+                remapped=False,
+                strategy=self.name,
+                attempts=self.k,
+            )
+        return [results[item] for item in range(len(responses))]
 
 
 class SimilarityRemapper(Remapper):
@@ -378,16 +464,20 @@ class ContainsResampleRemapper(Remapper):
         label_set: Sequence[str],
         requery: RequeryFn | None = None,
     ) -> RemapResult:
-        result = self._resample.remap(response, label_set, requery)
-        if result.strategy != self.name:
-            result = RemapResult(
-                label=result.label,
-                original_response=result.original_response,
-                remapped=result.remapped,
-                strategy=self.name,
-                attempts=result.attempts,
+        return _remap_one(self, response, label_set, requery)
+
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        return [
+            replace(result, strategy=self.name)
+            for result in self._resample.remap_many(
+                responses, label_sets, requery_many
             )
-        return result
+        ]
 
 
 _REMAPPERS: dict[str, Callable[[], Remapper]] = {

@@ -101,6 +101,24 @@ class TestCheckersFlagFixtures:
         assert len(findings) == 5
         assert [f.rule for f in findings].count("lock-io-held") == 2
 
+    def test_batch_store_writes_under_a_lock_are_flagged(self, tmp_path):
+        # The store's batch write path is store I/O like get/put.
+        source = tmp_path / "batch_store.py"
+        source.write_text(
+            "import threading\n"
+            "\n"
+            "class Writer:\n"
+            "    def __init__(self, store):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self.store = store\n"
+            "\n"
+            "    def flush(self, items):\n"
+            "        with self._lock:\n"
+            "            self.store.put_many(items)\n"
+        )
+        findings = analyze_file(source)
+        assert [f.rule for f in findings] == ["lock-io-held"]
+
     def test_condition_alias_resolves_to_the_underlying_lock(self):
         # The store_io_under_lock finding holds _arrived, which aliases
         # _lock; the message must name the base lock.

@@ -10,7 +10,10 @@ must produce the same labels for the pure bundled backends.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from contextlib import nullcontext
+from typing import Sequence
 
 import pytest
 
@@ -23,7 +26,16 @@ from repro.core.executor import (
     resolve_executor,
 )
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
-from repro.core.remapping import NULL_LABEL
+from repro.core.remapping import (
+    NULL_LABEL,
+    ContainsResampleRemapper,
+    RemapResult,
+    Remapper,
+    ResampleRemapper,
+    contains_match,
+    exact_match,
+    get_remapper,
+)
 from repro.core.rules import SOTAB_27_RULES
 from repro.core.table import Column
 from repro.datasets.registry import load_benchmark
@@ -390,3 +402,321 @@ class TestProcessExecutor:
             r.label
             for r in override.annotate_columns(workload, executor="sequential")
         ] == expected
+
+
+# --------------------------------------------------------------------------
+# Resample rounds: Algorithm 3 set-at-a-time, per-column semantics unchanged.
+
+ZERO_SHOT_BENCHMARKS = ("sotab-27", "d4-20", "amstr-56", "pubchem-20")
+REMAPPERS = ("none", "contains", "resample", "similarity", "contains+resample")
+RESAMPLE_K = 3
+
+
+def _executors() -> dict[str, object]:
+    return {
+        "sequential": SequentialExecutor(),
+        "batched": BatchedExecutor(),
+        "batched-7": BatchedExecutor(batch_size=7),
+        "concurrent": ConcurrentExecutor(workers=3),
+        "process": ProcessExecutor(workers=2),
+    }
+
+
+def _column_at_a_time(name, response, label_set, requery):
+    """``(label, remapped, attempts)`` as the per-column loop computed them.
+
+    For the resample strategies this is Algorithm 3 written out one column
+    and one model round trip at a time — the reference the set-at-a-time
+    rounds must reproduce; the other strategies never requery.
+    """
+    if name not in ("resample", "contains+resample"):
+        result = get_remapper(name).remap(response, label_set, requery)
+        return result.label, result.remapped, result.attempts
+
+    def accept(text):
+        matched = exact_match(text, label_set)
+        if matched is None and name == "contains+resample":
+            matched = contains_match(text, label_set)
+        return matched
+
+    accepted = accept(response)
+    if accepted is not None:
+        return accepted, accepted != response, 0
+    for attempt in range(1, RESAMPLE_K + 1):
+        accepted = accept(requery(attempt))
+        if accepted is not None:
+            return accepted, True, attempt
+    return NULL_LABEL, False, RESAMPLE_K
+
+
+def _split(name):
+    benchmark = load_benchmark(name, n_columns=30, seed=1)
+    return benchmark, [bc.column for bc in benchmark.columns]
+
+
+def _parity_annotator(benchmark, remapper):
+    return ArcheType(ArcheTypeConfig(
+        model="gpt", label_set=benchmark.label_set, remapper=remapper,
+        resample_k=RESAMPLE_K, seed=0,
+    ))
+
+
+def _reference_run(benchmark, columns, remapper):
+    """Labels, remap outcomes and query counters of the per-column loop."""
+    annotator = _parity_annotator(benchmark, remapper)
+    engine = annotator.engine
+    outcomes = []
+    for position, column in enumerate(columns):
+        plan = annotator.plan_column(column, position=position)
+        if plan.result is not None:
+            outcomes.append((plan.result.label, plan.result.remapped, None))
+            continue
+        text = plan.prompt.text
+        response = engine.query(text)
+        outcomes.append(_column_at_a_time(
+            remapper, response, plan.prompt.label_set,
+            lambda attempt: engine.query(text, engine.params.permuted(attempt)),
+        ))
+    return outcomes, engine.stats.n_queries, engine.stats.n_resamples
+
+
+class RecordingRemapper(Remapper):
+    """Delegates to ``inner`` and keeps every result in call order."""
+
+    def __init__(self, inner: Remapper) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.results: list[RemapResult] = []
+
+    def remap(self, response, label_set, requery=None):
+        result = self.inner.remap(response, label_set, requery)
+        self.results.append(result)
+        return result
+
+    def remap_many(self, responses, label_sets, requery_many=None):
+        results = self.inner.remap_many(responses, label_sets, requery_many)
+        self.results.extend(results)
+        return results
+
+
+class TestResampleParity:
+    """Every remapper under every executor reproduces the per-column loop:
+    labels, ``remapped``, ``attempts``, ``n_queries`` and ``n_resamples``."""
+
+    @pytest.mark.parametrize("remapper", REMAPPERS)
+    def test_every_executor_matches_the_per_column_loop(self, remapper):
+        exercised_rounds = 0
+        for name in ZERO_SHOT_BENCHMARKS:
+            benchmark, columns = _split(name)
+            expected, queries, resamples = _reference_run(
+                benchmark, columns, remapper
+            )
+            exercised_rounds += resamples
+            for executor_name, executor in _executors().items():
+                annotator = _parity_annotator(benchmark, remapper)
+                if executor_name != "process":
+                    # A process worker remaps with its own unpickled copy.
+                    recorder = RecordingRemapper(annotator.remapper)
+                    annotator.remapper = recorder
+                with executor if isinstance(executor, ProcessExecutor) else (
+                    nullcontext()
+                ):
+                    results = annotator.annotate_columns(
+                        columns, executor=executor
+                    )
+                context = (name, remapper, executor_name)
+                assert [(r.label, r.remapped) for r in results] == [
+                    (label, remapped) for label, remapped, _ in expected
+                ], context
+                assert annotator.engine.stats.n_queries == queries, context
+                assert annotator.engine.stats.n_resamples == resamples, context
+                if executor_name != "process":
+                    # In-process executors remap pending plans in plan order.
+                    assert [r.attempts for r in recorder.results] == [
+                        attempts for _, _, attempts in expected
+                        if attempts is not None
+                    ], context
+        if remapper in ("resample", "contains+resample"):
+            assert exercised_rounds > 0  # the splits do reach the rounds
+
+    @pytest.mark.parametrize("remapper", ["resample", "contains+resample"])
+    def test_remap_many_matches_remap_item_by_item(self, remapper):
+        """``remap`` is ``remap_many`` over one item, for any mix of items."""
+        labels = ["state", "url", "person"]
+        script = {
+            "nope": ["still nope", "state", "url"],
+            "never": ["x", "y", "z"],
+            "the url": ["state", "state", "state"],
+        }
+        responses = ["state", "nope", "never", "the url", "State."]
+        strategy = get_remapper(remapper, k=RESAMPLE_K)
+        one_by_one = [
+            strategy.remap(
+                response, labels,
+                lambda attempt, response=response: script[response][attempt - 1],
+            )
+            for response in responses
+        ]
+        rounds: list[list[int]] = []
+
+        def requery_many(items, attempt):
+            rounds.append(list(items))
+            return [script[responses[item]][attempt - 1] for item in items]
+
+        batch = strategy.remap_many(responses, [labels] * len(responses), requery_many)
+        assert batch == one_by_one
+        assert len(rounds) <= RESAMPLE_K
+        # Round a retries exactly the items still unresolved after a - 1.
+        unresolved = [i for i, r in enumerate(one_by_one) if r.attempts > 0]
+        assert rounds[0] == unresolved
+        for attempt, items in enumerate(rounds[1:], start=2):
+            assert items == [i for i in unresolved if one_by_one[i].attempts >= attempt]
+
+
+#: Base generation parameters and their resample permutations, by attempt.
+_ATTEMPT_OF = {GenerationParams().permuted(a): a for a in range(RESAMPLE_K + 1)}
+
+
+class RoundCountingModel(LanguageModel):
+    """Answers in-set only from the attempt named in the column's values.
+
+    A column whose cells read ``needs<N>`` gets ``state`` from attempt ``N``
+    on and an out-of-set answer before; every ``generate_batch`` call's size
+    is recorded.
+    """
+
+    name = "round-counting"
+    context_window = 2048
+
+    def __init__(self) -> None:
+        self.batch_sizes: list[int] = []
+
+    def generate(self, prompt: str, params: GenerationParams | None = None) -> str:
+        needed = int(re.search(r"needs(\d)", prompt).group(1))
+        attempt = _ATTEMPT_OF[params or GenerationParams()]
+        return "state" if attempt >= needed else "no idea"
+
+    def generate_batch(self, prompts, params=None) -> list[str]:
+        self.batch_sizes.append(len(prompts))
+        return super().generate_batch(prompts, params)
+
+
+#: Attempt each column needs; 4 is beyond k, so that column maps to null.
+_NEEDS = [0, 1, 1, 2, 2, 2, 3, 4, 4, 0]
+
+
+def _round_workload() -> list[Column]:
+    return [
+        Column(values=[f"needs{needed} cell{index}-{row}" for row in range(3)])
+        for index, needed in enumerate(_NEEDS)
+    ]
+
+
+def _round_annotator(model, remapper="contains+resample") -> ArcheType:
+    return ArcheType(ArcheTypeConfig(
+        model=model, label_set=LABELS, remapper=remapper,
+        resample_k=RESAMPLE_K, sampler="firstk", seed=0,
+    ))
+
+
+class TestResampleRounds:
+    """A batch issues one ``generate_batch`` per attempt round, not one per
+    requery."""
+
+    @pytest.mark.parametrize("executor", ["batched", "concurrent"])
+    def test_one_model_call_per_round(self, executor):
+        model = RoundCountingModel()
+        annotator = _round_annotator(model)
+        results = annotator.annotate_columns(
+            _round_workload(), executor=executor,
+            **({"workers": 1} if executor == "concurrent" else {}),
+        )
+        assert [r.label for r in results] == [
+            "state" if needed <= RESAMPLE_K else NULL_LABEL for needed in _NEEDS
+        ]
+        # First attempt, then rounds 1..k over the shrinking unresolved set.
+        assert model.batch_sizes == [10, 8, 6, 3]
+        assert annotator.engine.stats.n_resamples == 8 + 6 + 3
+
+    def test_rounds_stop_when_every_column_resolves(self):
+        model = RoundCountingModel()
+        annotator = _round_annotator(model)
+        workload = [c for c, needed in zip(_round_workload(), _NEEDS) if needed <= 1]
+        annotator.annotate_columns(workload)
+        assert model.batch_sizes == [4, 2]
+
+    def test_each_stream_chunk_issues_at_most_k_rounds(self):
+        model = RoundCountingModel()
+        annotator = _round_annotator(model)
+        list(annotator.annotate_stream(_round_workload(), chunk_size=5))
+        # Chunk 1 needs 0,1,1,2,2; chunk 2 needs 2,3,4,4,0.
+        assert model.batch_sizes == [5, 4, 2, 5, 4, 4, 3]
+
+    def test_sequential_executor_still_requeries_column_by_column(self):
+        model = RoundCountingModel()
+        annotator = _round_annotator(model)
+        annotator.annotate_columns(_round_workload(), executor="sequential")
+        assert model.batch_sizes == [1] * (len(_NEEDS) + 8 + 6 + 3)
+
+
+class RetryOnceRemapper(Remapper):
+    """A custom strategy implementing only ``remap``: one retry, exact only."""
+
+    name = "retry-once"
+
+    def remap(self, response, label_set, requery=None):
+        matched = exact_match(response, label_set)
+        attempts = 0
+        if matched is None and requery is not None:
+            attempts = 1
+            matched = exact_match(requery(1), label_set)
+        return RemapResult(
+            label=matched if matched is not None else NULL_LABEL,
+            original_response=response,
+            remapped=matched is not None and matched != response,
+            strategy=self.name,
+            attempts=attempts,
+        )
+
+
+class TestRemapOnlySubclass:
+    """A ``Remapper`` that implements only ``remap`` works under every
+    executor, through the default ``remap_many``."""
+
+    def test_every_executor_matches_sequential(self):
+        benchmark, columns = _split("sotab-27")
+
+        def annotator():
+            return _parity_annotator(benchmark, RetryOnceRemapper())
+
+        reference = annotator()
+        expected = [
+            (r.label, r.remapped)
+            for r in reference.annotate_columns(columns, executor="sequential")
+        ]
+        assert reference.engine.stats.n_resamples > 0
+        for executor_name, executor in _executors().items():
+            candidate = annotator()
+            with executor if isinstance(executor, ProcessExecutor) else (
+                nullcontext()
+            ):
+                results = candidate.annotate_columns(columns, executor=executor)
+            assert [(r.label, r.remapped) for r in results] == expected, executor_name
+            assert candidate.engine.stats.n_queries == reference.engine.stats.n_queries
+            assert (
+                candidate.engine.stats.n_resamples
+                == reference.engine.stats.n_resamples
+            )
+
+    def test_default_remap_many_requeries_item_by_item(self):
+        calls: list[tuple[list[int], int]] = []
+
+        def requery_many(items: Sequence[int], attempt: int) -> list[str]:
+            calls.append((list(items), attempt))
+            return ["state"] * len(items)
+
+        results = RetryOnceRemapper().remap_many(
+            ["state", "nope", "also nope"], [LABELS] * 3, requery_many
+        )
+        assert [r.label for r in results] == ["state", "state", "state"]
+        assert calls == [([1], 1), ([2], 1)]

@@ -142,3 +142,20 @@ class TestAnnotation:
         )
         result = annotator.annotate_column(small_table[0], table=small_table, column_index=0)
         assert "TABLE NAME: demo_table.csv" in result.prompt.text
+
+    def test_overflowing_numeric_cell_does_not_fail_the_batch(self):
+        """A cell beyond float64's range is sketched over lengths, not raised."""
+        from repro.core.features import FeatureConfig
+
+        annotator = ArcheType(
+            ArcheTypeConfig(
+                model="gpt", label_set=LABELS,
+                features=FeatureConfig.from_spec("CS+SS"),
+            )
+        )
+        results = annotator.annotate_columns(
+            [Column(["Alaska", "Texas"]), Column(["1e999", "2"])]
+        )
+        assert [r.label for r in results][0] == "state"
+        assert results[1].label in LABELS
+        assert "len std:" in results[1].prompt.text

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
+from repro.core.querying import QueryEngine
 from repro.core.table import Column, Table
 from repro.datasets.registry import load_benchmark
 from repro.exceptions import ConfigurationError
@@ -115,3 +119,50 @@ class TestAnnotateStream:
 
     def test_stream_empty_source(self):
         assert list(_annotator().annotate_stream(iter([]))) == []
+
+
+class TestSharedEngineStreams:
+    """Streams over one engine, as the service runs them."""
+
+    def test_concurrent_streams_over_one_engine_lose_no_update(self):
+        """Stress: more streams than cores over one shared engine with a tiny
+        switch interval, so resample rounds of different streams interleave
+        in the scheduler; no label or stage count drifts."""
+        benchmark = load_benchmark("d4-20", n_columns=20, seed=4)
+        columns = [bc.column for bc in benchmark.columns]
+        expected = [
+            r.label for r in _annotator(benchmark, seed=2).annotate_columns(columns)
+        ]
+        engine = QueryEngine(_annotator(benchmark, seed=2).model)
+        annotators = [
+            ArcheType(
+                ArcheTypeConfig(model="gpt", label_set=benchmark.label_set, seed=2),
+                engine=engine,
+            )
+            for _ in range(6)
+        ]
+        labels: dict[int, list[str]] = {}
+
+        def drive(index: int) -> None:
+            stream = annotators[index].annotate_stream(iter(columns), chunk_size=3)
+            labels[index] = [r.label for r in stream]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(i,))
+                for i in range(len(annotators))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert labels == {i: expected for i in range(len(annotators))}
+        for annotator in annotators:
+            stages = annotator.stats.snapshot()
+            assert stages["sample"]["calls"] == len(columns)
+            assert stages["remap"]["calls"] == stages["query"]["calls"]

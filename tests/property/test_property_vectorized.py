@@ -75,18 +75,26 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 #: and median are finite.
 _OVERFLOWING_SUM = ["8.988465674311579e+307", "8.98846567431158e+307"]
 
+#: Numeric cells that parse beyond float64's range (to ±inf): the column is
+#: sketched over string lengths.
+_INFINITE_CELL = ["1e999", "1"]
+_NEGATIVE_INFINITE_CELL = ["-1e999", "2", "3"]
+
 
 def _scalar_summary_statistics(values) -> SummaryStatistics | None:
     """The historical per-value sketch the vectorized path replaced."""
     usable = [v for v in values if v.strip()]
     if not usable:
         return None
+    numbers = None
     if all(is_numeric_string(v) for v in usable):
         numbers = [float(v.replace(",", "")) for v in usable]
-        over_lengths = False
-    else:
+        if not all(math.isfinite(x) for x in numbers):
+            # Beyond float64's range ("1e999"): sketched over lengths.
+            numbers = None
+    over_lengths = numbers is None
+    if numbers is None:
         numbers = [float(len(v)) for v in usable]
-        over_lengths = True
     std = statistics.pstdev(numbers) if len(numbers) > 1 else 0.0
     try:
         mode = float(statistics.mode(numbers))
@@ -148,6 +156,8 @@ class TestAllNumericGate:
 class TestSummaryStatisticsExactness:
     @given(value_lists)
     @example(_OVERFLOWING_SUM)
+    @example(_INFINITE_CELL)
+    @example(_NEGATIVE_INFINITE_CELL)
     @settings(max_examples=300)
     def test_raw_floats_match_scalar_reference(self, values):
         fast = summary_statistics(values)
@@ -165,6 +175,8 @@ class TestSummaryStatisticsExactness:
 
     @given(value_lists)
     @example(_OVERFLOWING_SUM)
+    @example(_INFINITE_CELL)
+    @example(_NEGATIVE_INFINITE_CELL)
     @settings(max_examples=150)
     def test_prompt_strings_match_scalar_reference(self, values):
         fast = summary_statistics(values)

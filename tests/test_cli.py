@@ -150,6 +150,25 @@ class TestExecutorKnobs:
         assert exit_code == 0
         assert "per-stage pipeline stats" in captured
 
+    def test_evaluate_profile_sees_every_chunks_query_and_remap(self, tmp_path):
+        import pstats
+
+        exit_code = main([
+            "evaluate", "--benchmark", "d4-20", "--method", "archetype",
+            "--model", "gpt", "--columns", "40", "--batch-size", "10",
+            "--cache-dir", str(tmp_path), "--profile",
+        ])
+        assert exit_code == 0
+        stats = pstats.Stats(str(tmp_path / "profiles" / "evaluate.pstats"))
+        calls = {
+            name: primitive_calls
+            for (_, _, name), (primitive_calls, *_) in stats.stats.items()  # type: ignore[attr-defined]
+        }
+        # A streamed evaluation of four chunks: each chunk's query batch and
+        # remap set are in the profile, not just the wait for the chunk.
+        assert calls["query_batch"] >= 4
+        assert calls["remap_many"] >= 4
+
 
 class TestSuiteCommand:
     def test_suite_list_prints_registry(self, capsys):
